@@ -2,7 +2,7 @@
 //! performance numbers so the trajectory is tracked per PR:
 //!
 //! * **insert throughput** (engine, memory + file backend, batch-sealed
-//!   group commits + write-behind node re-sealing),
+//!   group commits + the dirty node pool),
 //! * **bulk-load throughput** (sorted ingest through `SksDb::bulk_load`,
 //!   file backend),
 //! * **recovery time** (full replay vs checkpointed tail replay) and
@@ -10,7 +10,7 @@
 //! * **checkpoint at 1% dirty** (50k-record file backend: delta-encoded
 //!   index persistence vs the full-rewrite path, with the index bytes
 //!   written per epoch),
-//! * **read-hot point reads** (plaintext node cache off vs on, file
+//! * **read-hot point reads** (decoded-node pool off vs on, file
 //!   backend) with the measured speedup,
 //! * **range scans** (streamed, node cache off vs on),
 //! * **record-cache reads** (decoded-record LRU off vs on),
@@ -80,13 +80,10 @@ fn engine_config(dir: &std::path::Path, file_backend: bool) -> EngineConfig {
 }
 
 fn engine_config_at(dir: &std::path::Path, file_backend: bool, level: ObsLevel) -> EngineConfig {
-    // The pipelined write path: batch sealing + the double-buffered log
-    // writer are default-on; write-behind node re-sealing is the opt-in
-    // ingest posture (logical counters stay byte-identical either way —
-    // `write_pipeline_preserves_logical_counters_exactly` pins that).
+    // The pipelined write path: batch sealing, the double-buffered log
+    // writer and the dirty node pool are all default-on.
     let mut scheme = SchemeConfig::with_capacity(Scheme::Oval, KEY_SPACE + 64)
         .partitions(4)
-        .write_behind(64)
         .observability(level);
     if file_backend {
         scheme = scheme.backend(StorageBackend::File {
@@ -294,7 +291,6 @@ fn recovery_ms(file_backend: bool) -> f64 {
     let dir = tmpdir(label);
     let scheme = SchemeConfig::with_capacity(Scheme::Oval, DATASET + TAIL + 64)
         .partitions(4)
-        .write_behind(64)
         .observability(ObsLevel::Counters);
     let scheme = if file_backend {
         scheme.backend(StorageBackend::File {

@@ -1,24 +1,28 @@
-//! The plaintext node cache: a bounded, sharded LRU of *decoded* nodes.
+//! The decoded-node pool: one bounded clock buffer of *decoded* nodes
+//! above the crypto boundary, with a dirty bit per entry.
 //!
 //! The paper's cost model charges every node visit the decipherments the
-//! scheme requires; a real engine does not have to pay them twice for the
-//! same unchanged page. This cache keeps recently probed nodes in their
-//! decoded (plaintext) form so a repeated point read costs zero physical
-//! cryptography — while the *logical* operation counters keep reporting
-//! the paper's per-scheme cost (see [`crate::NodeCodec::probe_cached`]),
-//! so every comparative claim stays measurable with the cache on.
+//! scheme requires and every node mutation one re-encipherment; a real
+//! engine does not have to pay either twice for the same page. The pool
+//! keeps recently used nodes decoded so a repeated visit costs zero
+//! physical cryptography, and lets a mutated node absorb further
+//! mutations before its one physical seal — while the *logical* operation
+//! counters keep reporting the paper's per-scheme cost (see
+//! [`crate::NodeCodec::probe_cached`] and
+//! [`crate::NodeCodec::encode_to_cache`]), so every comparative claim
+//! stays measurable.
 //!
-//! Keying: an entry is logically keyed by `(page, version)` — the version
-//! being "the bytes currently on the page". The tree invalidates eagerly
-//! on every node re-encode and free (the only sites that change a page's
-//! version), so an entry is present exactly when it decodes the page's
-//! current content; a stale plaintext image can never serve a probe.
+//! Entries are keyed by node id. A *clean* entry decodes exactly the page
+//! on the medium; a *dirty* entry is newer than it and is the node's only
+//! authoritative copy until it is sealed (clock eviction over the dirty
+//! cap, or a flush), after which it stays as a clean entry. Replacement
+//! is second-chance clock, the classic buffer-pool policy.
 //!
 //! Security model: entries live in RAM only. Nothing here ever reaches
 //! the medium (the stores below continue to hold only enciphered bytes),
 //! and entry contents are zeroized when the last reference drops
-//! (eviction, invalidation, or cache drop), so later heap re-use cannot
-//! scrape decoded keys out of dead memory.
+//! (eviction, free, or pool drop), so later heap re-use cannot scrape
+//! decoded keys out of dead memory.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
@@ -62,101 +66,235 @@ impl Drop for CachedNode {
     }
 }
 
-#[derive(Debug, Default)]
-struct Shard {
-    map: HashMap<u32, Arc<CachedNode>>,
-    /// LRU order, least recently used first (small shards; a Vec scan is
-    /// fine and keeps the policy obviously correct).
-    lru: Vec<u32>,
+/// One clock slot of the pool.
+#[derive(Debug)]
+struct Slot {
+    id: u32,
+    /// `None` = vacant (forgotten or evicted, awaiting reuse).
+    entry: Option<Arc<CachedNode>>,
+    /// Second-chance bit: set by every hit and every re-dirtying, cleared
+    /// by the sweep as the hand passes.
+    referenced: bool,
+    /// The page on the medium is stale: this entry owes one physical seal.
+    dirty: bool,
 }
 
-impl Shard {
-    fn touch(&mut self, id: u32) {
-        if let Some(pos) = self.lru.iter().position(|&x| x == id) {
-            self.lru.remove(pos);
+#[derive(Debug, Default)]
+struct Clock {
+    /// Block id → slot in `slots`.
+    map: HashMap<u32, usize>,
+    slots: Vec<Slot>,
+    /// Slots emptied by `forget`/eviction, reused before the ring grows.
+    vacant: Vec<usize>,
+    /// The next slot the sweep examines.
+    hand: usize,
+    /// Occupied slots with `dirty` set.
+    dirty: usize,
+}
+
+impl Clock {
+    /// The first occupied slot at the hand whose dirty bit equals
+    /// `dirty` and whose referenced bit is clear. Matching slots passed
+    /// on the way lose their bit, so two revolutions find a victim
+    /// whenever any slot matches.
+    fn sweep(&mut self, dirty: bool) -> Option<usize> {
+        let n = self.slots.len();
+        for _ in 0..2 * n {
+            let idx = self.hand;
+            self.hand = (idx + 1) % n;
+            let slot = &mut self.slots[idx];
+            if slot.entry.is_none() || slot.dirty != dirty {
+                continue;
+            }
+            if slot.referenced {
+                slot.referenced = false;
+                continue;
+            }
+            return Some(idx);
         }
-        self.lru.push(id);
+        None
     }
 
-    fn forget(&mut self, id: u32) {
-        if self.map.remove(&id).is_some() {
-            if let Some(pos) = self.lru.iter().position(|&x| x == id) {
-                self.lru.remove(pos);
+    fn insert(&mut self, id: u32, entry: Arc<CachedNode>, dirty: bool) {
+        let slot = Slot {
+            id,
+            entry: Some(entry),
+            referenced: dirty,
+            dirty,
+        };
+        let idx = match self.vacant.pop() {
+            Some(i) => {
+                self.slots[i] = slot;
+                i
+            }
+            None => {
+                self.slots.push(slot);
+                self.slots.len() - 1
+            }
+        };
+        self.map.insert(id, idx);
+        self.dirty += usize::from(dirty);
+    }
+
+    /// Empties slot `idx`; the plaintext is zeroized when the last
+    /// outstanding reference drops.
+    fn remove(&mut self, idx: usize) {
+        let slot = &mut self.slots[idx];
+        slot.entry = None;
+        self.dirty -= usize::from(slot.dirty);
+        slot.dirty = false;
+        self.map.remove(&slot.id);
+        self.vacant.push(idx);
+    }
+
+    fn remove_id(&mut self, id: u32) {
+        if let Some(&idx) = self.map.get(&id) {
+            self.remove(idx);
+        }
+    }
+
+    /// Evicts clean entries until at most `cap` remain; false when only
+    /// dirty entries are left to evict.
+    fn evict_clean_to(&mut self, cap: usize) -> bool {
+        while self.map.len() > cap {
+            match self.sweep(false) {
+                Some(victim) => self.remove(victim),
+                None => return false,
+            }
+        }
+        true
+    }
+}
+
+/// The bounded pool of decoded nodes. At most `capacity` entries are held
+/// between calls, at most `dirty_cap` of them dirty.
+///
+/// Interior-mutable so read paths can fill it behind `&self`, but the
+/// split of duties is strict: `&self` methods ([`NodePool::get`],
+/// [`NodePool::fill`]) only ever add or evict *clean* entries, while
+/// dirty entries are created, sealed and dropped only through `&mut self`
+/// methods — the tree's write paths, the only ones that can write the
+/// store.
+#[derive(Debug)]
+pub(crate) struct NodePool {
+    clock: Mutex<Clock>,
+    capacity: usize,
+    dirty_cap: usize,
+}
+
+impl NodePool {
+    /// A pool of at most `capacity` decoded nodes, at most
+    /// `min(dirty_cap, capacity)` of them dirty. `(0, 0)` holds nothing:
+    /// every write is sealed inside the mutation and every read decodes.
+    pub fn new(capacity: usize, dirty_cap: usize) -> Self {
+        NodePool {
+            clock: Mutex::new(Clock::default()),
+            capacity,
+            dirty_cap: dirty_cap.min(capacity),
+        }
+    }
+
+    fn lock(&self) -> std::sync::MutexGuard<'_, Clock> {
+        self.clock.lock().expect("node pool lock poisoned")
+    }
+
+    fn clock_mut(&mut self) -> &mut Clock {
+        self.clock.get_mut().expect("node pool lock poisoned")
+    }
+
+    /// The decoded node for `id`, clean or dirty, if present.
+    pub fn get(&self, id: BlockId) -> Option<Arc<CachedNode>> {
+        let mut clock = self.lock();
+        let idx = *clock.map.get(&id.0)?;
+        let slot = &mut clock.slots[idx];
+        slot.referenced = true;
+        slot.entry.as_ref().map(Arc::clone)
+    }
+
+    /// Read-path fill with a *clean* decoding of the page now on the
+    /// medium. Never replaces a present entry (a dirty one is newer than
+    /// the page) and evicts only a clean entry; with every entry dirty
+    /// the fill is skipped.
+    pub fn fill(&self, id: BlockId, entry: CachedNode) {
+        if self.capacity == 0 {
+            return;
+        }
+        let mut clock = self.lock();
+        if !clock.map.contains_key(&id.0) && clock.evict_clean_to(self.capacity - 1) {
+            clock.insert(id.0, Arc::new(entry), false);
+        }
+    }
+
+    /// Parks `entry` as the dirty, authoritative copy of `id`, replacing
+    /// any previous entry. The caller then seals every
+    /// [`NodePool::dirty_victim`] and calls [`NodePool::shrink`].
+    pub fn put_dirty(&mut self, id: BlockId, entry: CachedNode) {
+        let clock = self.clock_mut();
+        clock.remove_id(id.0);
+        clock.insert(id.0, Arc::new(entry), true);
+    }
+
+    /// A cold dirty entry to seal while more than the dirty cap (or, with
+    /// `all`, any) entries are dirty. It stays dirty until
+    /// [`NodePool::mark_clean`], so a failed seal loses nothing.
+    pub fn dirty_victim(&mut self, all: bool) -> Option<(BlockId, Arc<CachedNode>)> {
+        let cap = if all { 0 } else { self.dirty_cap };
+        let clock = self.clock_mut();
+        if clock.dirty <= cap {
+            return None;
+        }
+        let idx = clock.sweep(true)?;
+        let slot = &clock.slots[idx];
+        Some((BlockId(slot.id), Arc::clone(slot.entry.as_ref()?)))
+    }
+
+    /// Records that `id`'s entry was sealed: it stays as a clean decoded
+    /// node.
+    pub fn mark_clean(&mut self, id: BlockId) {
+        let clock = self.clock_mut();
+        if let Some(&idx) = clock.map.get(&id.0) {
+            let slot = &mut clock.slots[idx];
+            if slot.dirty {
+                slot.dirty = false;
+                clock.dirty -= 1;
             }
         }
     }
-}
 
-/// Sharded LRU over decoded nodes. Interior-mutable so the read path can
-/// fill it behind `&self`; shards keep lock hold times short when several
-/// readers share one tree.
-#[derive(Debug)]
-pub struct NodeCache {
-    shards: Box<[Mutex<Shard>]>,
-    per_shard: usize,
-}
-
-const SHARDS: usize = 8;
-
-impl NodeCache {
-    /// A cache holding at most `capacity` decoded nodes (rounded up to a
-    /// multiple of the shard count).
-    pub fn new(capacity: usize) -> Self {
-        let per_shard = capacity.div_ceil(SHARDS).max(1);
-        NodeCache {
-            shards: (0..SHARDS).map(|_| Mutex::new(Shard::default())).collect(),
-            per_shard,
-        }
+    /// Whether `id` is held dirty.
+    pub fn is_dirty(&mut self, id: BlockId) -> bool {
+        let clock = self.clock_mut();
+        clock
+            .map
+            .get(&id.0)
+            .is_some_and(|&idx| clock.slots[idx].dirty)
     }
 
-    fn shard(&self, id: BlockId) -> &Mutex<Shard> {
-        &self.shards[id.0 as usize % SHARDS]
+    /// Evicts clean entries until at most `capacity` remain.
+    pub fn shrink(&mut self) {
+        let cap = self.capacity;
+        self.clock_mut().evict_clean_to(cap);
     }
 
-    /// Returns the cached decoding of `id`, if present.
-    pub fn get(&self, id: BlockId) -> Option<Arc<CachedNode>> {
-        let mut shard = self.shard(id).lock().expect("node cache shard");
-        let entry = shard.map.get(&id.0).map(Arc::clone)?;
-        shard.touch(id.0);
-        Some(entry)
+    /// Drops `id`'s entry, clean or dirty, without sealing (the node was
+    /// freed).
+    pub fn forget(&mut self, id: BlockId) {
+        self.clock_mut().remove_id(id.0);
     }
 
-    /// Inserts (or replaces) the decoding of `id`, evicting the least
-    /// recently used entry of the shard when full.
-    pub fn insert(&self, id: BlockId, entry: CachedNode) {
-        let mut shard = self.shard(id).lock().expect("node cache shard");
-        shard.map.insert(id.0, Arc::new(entry));
-        shard.touch(id.0);
-        while shard.map.len() > self.per_shard {
-            let victim = shard.lru.remove(0);
-            shard.map.remove(&victim);
-        }
-    }
-
-    /// Drops the entry for `id` (node re-encoded or freed). The plaintext
-    /// is zeroized when the last outstanding reference drops.
-    pub fn invalidate(&self, id: BlockId) {
-        self.shard(id)
-            .lock()
-            .expect("node cache shard")
-            .forget(id.0);
-    }
-
-    /// Number of cached nodes across all shards.
+    /// Decoded nodes held, clean and dirty.
     pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.lock().expect("node cache shard").map.len())
-            .sum()
+        self.lock().map.len()
     }
 
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
+    /// Dirty nodes held (each owes the medium one physical seal).
+    pub fn dirty_len(&self) -> usize {
+        self.lock().dirty
     }
 
-    /// Maximum nodes the cache will hold.
+    /// Maximum nodes the pool holds between calls.
     pub fn capacity(&self) -> usize {
-        self.per_shard * SHARDS
+        self.capacity
     }
 }
 
@@ -179,36 +317,76 @@ mod tests {
     }
 
     #[test]
-    fn hit_miss_and_invalidate() {
-        let cache = NodeCache::new(16);
-        assert!(cache.get(BlockId(3)).is_none());
-        cache.insert(BlockId(3), entry(3, 7));
-        let got = cache.get(BlockId(3)).unwrap();
-        assert_eq!(got.node.keys, vec![7]);
-        cache.invalidate(BlockId(3));
-        assert!(cache.get(BlockId(3)).is_none());
-        assert!(cache.is_empty());
+    fn fill_hit_and_forget() {
+        let mut pool = NodePool::new(16, 4);
+        assert!(pool.get(BlockId(3)).is_none());
+        pool.fill(BlockId(3), entry(3, 7));
+        assert_eq!(pool.get(BlockId(3)).unwrap().node.keys, vec![7]);
+        pool.forget(BlockId(3));
+        assert!(pool.get(BlockId(3)).is_none());
+        assert_eq!(pool.len(), 0);
     }
 
     #[test]
-    fn capacity_is_bounded_lru() {
-        let cache = NodeCache::new(8); // 1 per shard
-                                       // Ids 0 and 8 share shard 0 whose capacity is 1: the older entry
-                                       // is evicted.
-        cache.insert(BlockId(0), entry(0, 0));
-        cache.insert(BlockId(8), entry(8, 8));
-        assert!(cache.get(BlockId(0)).is_none(), "LRU evicted");
-        assert!(cache.get(BlockId(8)).is_some());
-        assert!(cache.len() <= cache.capacity());
+    fn clean_capacity_is_bounded_and_second_chance() {
+        let pool = NodePool::new(2, 0);
+        pool.fill(BlockId(0), entry(0, 0));
+        pool.fill(BlockId(1), entry(1, 1));
+        let _ = pool.get(BlockId(0)); // referenced: survives one sweep
+        pool.fill(BlockId(2), entry(2, 2));
+        assert_eq!(pool.len(), 2);
+        assert!(pool.get(BlockId(0)).is_some());
+        assert!(pool.get(BlockId(1)).is_none(), "cold entry evicted");
     }
 
     #[test]
-    fn replace_keeps_one_entry_per_page() {
-        let cache = NodeCache::new(16);
-        cache.insert(BlockId(4), entry(4, 1));
-        cache.insert(BlockId(4), entry(4, 2));
-        assert_eq!(cache.len(), 1);
-        assert_eq!(cache.get(BlockId(4)).unwrap().node.keys, vec![2]);
+    fn fill_never_replaces_or_evicts_dirty() {
+        let mut pool = NodePool::new(1, 1);
+        pool.put_dirty(BlockId(4), entry(4, 2));
+        pool.fill(BlockId(4), entry(4, 1));
+        assert_eq!(pool.get(BlockId(4)).unwrap().node.keys, vec![2]);
+        pool.fill(BlockId(5), entry(5, 5)); // only victim is dirty: skipped
+        assert!(pool.get(BlockId(5)).is_none());
+        assert_eq!((pool.len(), pool.dirty_len()), (1, 1));
+    }
+
+    #[test]
+    fn dirty_cap_yields_victims_that_stay_clean_after_seal() {
+        let mut pool = NodePool::new(4, 1);
+        pool.put_dirty(BlockId(1), entry(1, 1));
+        assert!(pool.dirty_victim(false).is_none(), "within the cap");
+        pool.put_dirty(BlockId(2), entry(2, 2));
+        let (id, _) = pool.dirty_victim(false).expect("over the cap");
+        pool.mark_clean(id);
+        assert!(pool.dirty_victim(false).is_none());
+        assert!(pool.dirty_victim(true).is_some(), "a flush seals the rest");
+        assert_eq!((pool.len(), pool.dirty_len()), (2, 1));
+        assert!(pool.get(id).is_some(), "a sealed entry stays decoded");
+    }
+
+    #[test]
+    fn zero_capacity_holds_nothing_after_shrink() {
+        let mut pool = NodePool::new(0, 64);
+        pool.put_dirty(BlockId(7), entry(7, 7));
+        let (id, _) = pool.dirty_victim(false).expect("dirty cap is 0");
+        pool.mark_clean(id);
+        pool.shrink();
+        assert_eq!(pool.len(), 0);
+        pool.fill(BlockId(7), entry(7, 7));
+        assert_eq!(pool.len(), 0);
+    }
+
+    #[test]
+    fn redirtying_replaces_the_entry_and_counts_once() {
+        let mut pool = NodePool::new(8, 8);
+        pool.fill(BlockId(1), entry(1, 1));
+        pool.put_dirty(BlockId(1), entry(1, 2));
+        pool.put_dirty(BlockId(1), entry(1, 3));
+        assert_eq!((pool.len(), pool.dirty_len()), (1, 1));
+        assert_eq!(pool.get(BlockId(1)).unwrap().node.keys, vec![3]);
+        assert!(pool.is_dirty(BlockId(1)));
+        pool.forget(BlockId(1));
+        assert_eq!((pool.len(), pool.dirty_len()), (0, 0));
     }
 
     #[test]

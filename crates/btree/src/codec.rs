@@ -83,56 +83,27 @@ pub trait NodeCodec {
     /// Human-readable scheme name for reports.
     fn name(&self) -> &'static str;
 
-    /// Whether this codec implements the plaintext-node-cache hooks
-    /// ([`NodeCodec::decode_for_cache`] / [`NodeCodec::probe_cached`]).
-    /// Codecs that do not opt in are simply never cached.
-    fn supports_node_cache(&self) -> bool {
-        false
-    }
+    /// Decodes a page into a decoded-node pool entry *without bumping
+    /// any operation counters*: pool maintenance is physical work outside
+    /// the paper's cost model, which charges only the visits themselves.
+    fn decode_for_cache(&self, id: BlockId, page: &[u8]) -> Result<CachedNode, CodecError>;
 
-    /// Decodes a page into a cacheable plaintext entry *without bumping
-    /// any operation counters*: cache maintenance is physical work outside
-    /// the paper's cost model, which charges only the probes themselves.
-    fn decode_for_cache(&self, id: BlockId, page: &[u8]) -> Result<CachedNode, CodecError> {
-        let _ = (id, page);
-        Err(CodecError::Corrupt(
-            "codec does not support the node cache".into(),
-        ))
-    }
-
-    /// Searches a cached plaintext node, bumping *exactly* the counters a
+    /// Searches a pooled plaintext node, bumping *exactly* the counters a
     /// raw-page [`NodeCodec::probe`] of the same page would bump — the
     /// logical paper cost — while skipping the cryptographic work. The
     /// returned [`Probe`] must be identical to the raw probe's.
-    fn probe_cached(&self, entry: &CachedNode, key: u64) -> Result<Probe, CodecError> {
-        let _ = (entry, key);
-        Err(CodecError::Corrupt(
-            "codec does not support the node cache".into(),
-        ))
-    }
+    fn probe_cached(&self, entry: &CachedNode, key: u64) -> Result<Probe, CodecError>;
 
-    /// Materialises the plaintext node from a cached entry, bumping
+    /// Materialises the plaintext node from a pooled entry, bumping
     /// *exactly* the counters a raw-page [`NodeCodec::decode`] of the same
     /// page would bump — so range scans and update-path descents served
-    /// from the cache report the identical logical cost — while skipping
+    /// from the pool report the identical logical cost — while skipping
     /// the cryptographic work. The returned node must equal the raw
     /// decode's.
-    fn decode_cached(&self, entry: &CachedNode) -> Result<Node, CodecError> {
-        let _ = entry;
-        Err(CodecError::Corrupt(
-            "codec does not support the node cache".into(),
-        ))
-    }
+    fn decode_cached(&self, entry: &CachedNode) -> Result<Node, CodecError>;
 
-    /// Whether this codec implements the write-behind hooks
-    /// ([`NodeCodec::encode_to_cache`] / [`NodeCodec::encode_from_cache`]).
-    /// Codecs that do not opt in re-seal on every mutation.
-    fn supports_write_behind(&self) -> bool {
-        false
-    }
-
-    /// The deferral half of write-behind sealing: validates `node` exactly
-    /// as [`NodeCodec::encode`] into a page of `page_len` bytes would
+    /// The logical half of a node write: validates `node` exactly as
+    /// [`NodeCodec::encode`] into a page of `page_len` bytes would
     /// (shape, key domain, fit — same error cases), bumps *exactly* the
     /// logical counters that encode would bump, but performs no
     /// cryptography and produces no ciphertext. Returns a [`CachedNode`]
@@ -140,25 +111,15 @@ pub trait NodeCodec {
     /// codec-specific raw-key sidecar), so reads can serve the dirty node
     /// through [`NodeCodec::probe_cached`] / [`NodeCodec::decode_cached`]
     /// and the eventual seal can reuse the sidecar.
-    fn encode_to_cache(&self, node: &Node, page_len: usize) -> Result<CachedNode, CodecError> {
-        let _ = (node, page_len);
-        Err(CodecError::Corrupt(
-            "codec does not support write-behind sealing".into(),
-        ))
-    }
+    fn encode_to_cache(&self, node: &Node, page_len: usize) -> Result<CachedNode, CodecError>;
 
-    /// The seal half of write-behind: physically enciphers a deferred
-    /// entry into `page` *without touching any operation counters* — the
-    /// logical cost was already charged per mutation by
+    /// The physical half of a node write: enciphers a pooled entry into
+    /// `page` *without touching any operation counters* — the logical
+    /// cost was already charged per mutation by
     /// [`NodeCodec::encode_to_cache`]; this is maintenance work below the
     /// paper's cost model. The page bytes must equal what a plain
     /// [`NodeCodec::encode`] of `entry.node` would produce.
-    fn encode_from_cache(&self, entry: &CachedNode, page: &mut [u8]) -> Result<(), CodecError> {
-        let _ = (entry, page);
-        Err(CodecError::Corrupt(
-            "codec does not support write-behind sealing".into(),
-        ))
-    }
+    fn encode_from_cache(&self, entry: &CachedNode, page: &mut [u8]) -> Result<(), CodecError>;
 }
 
 /// Header layout shared by the provided codecs:
@@ -319,10 +280,6 @@ impl NodeCodec for PlainCodec {
         "plaintext"
     }
 
-    fn supports_node_cache(&self) -> bool {
-        true
-    }
-
     fn decode_for_cache(&self, id: BlockId, page: &[u8]) -> Result<CachedNode, CodecError> {
         // Plain decoding touches no counters, so the normal path is
         // already silent.
@@ -363,10 +320,6 @@ impl NodeCodec for PlainCodec {
     fn decode_cached(&self, entry: &CachedNode) -> Result<Node, CodecError> {
         // A raw plaintext decode touches no counters either.
         Ok(entry.node.clone())
-    }
-
-    fn supports_write_behind(&self) -> bool {
-        true
     }
 
     fn encode_to_cache(&self, node: &Node, page_len: usize) -> Result<CachedNode, CodecError> {

@@ -11,12 +11,9 @@
 //! The balancing algorithm is the classic preemptive-split/merge B-tree
 //! (CLRS ch. 18) with minimum degree `t` derived from the codec's fanout.
 
-use std::collections::HashMap;
-use std::sync::Arc;
-
 use sks_storage::{BlockId, BlockStore, OpCounters, PageReader, PageWriter, Stage, StorageError};
 
-use crate::cache::{CachedNode, NodeCache};
+use crate::cache::{CachedNode, NodePool};
 use crate::codec::{CodecError, NodeCodec, Probe};
 use crate::node::{Node, NodeSearch, RecordPtr};
 
@@ -67,118 +64,6 @@ impl From<CodecError> for TreeError {
 
 const SUPER_MAGIC: u64 = 0x534b_5342_5452_4545; // "SKSBTREE"
 
-/// Dirty plaintext nodes whose physical re-encipherment has been deferred
-/// (see [`BTree::enable_write_behind`]). Unlike the read cache this is not
-/// interior-mutable: only `&mut self` tree paths insert, evict or seal;
-/// `&self` read paths merely look entries up — a dirty node's disk page is
-/// *stale*, so reads must be served from here first.
-#[derive(Debug, Default)]
-struct WriteBehindSet {
-    /// Block id → slot in `slots`.
-    map: HashMap<u32, usize>,
-    slots: Vec<WbSlot>,
-    /// Slots emptied by `forget`/eviction, reused before the ring grows.
-    vacant: Vec<usize>,
-    /// Clock hand: the next slot the eviction sweep examines. Eviction
-    /// is second-chance: every (re-)deferral sets the slot's referenced
-    /// bit, the sweep clears bits until it meets a cold entry — a node
-    /// re-dirtied every ring revolution (a hot leaf absorbing a run of
-    /// inserts) keeps absorbing instead of being re-sealed per round.
-    hand: usize,
-    budget: usize,
-}
-
-/// One clock slot of the write-behind ring.
-#[derive(Debug)]
-struct WbSlot {
-    id: u32,
-    /// `None` = vacant (forgotten or evicted, awaiting reuse).
-    entry: Option<Arc<CachedNode>>,
-    referenced: bool,
-}
-
-impl WriteBehindSet {
-    fn new(budget: usize) -> Self {
-        WriteBehindSet {
-            map: HashMap::new(),
-            slots: Vec::new(),
-            vacant: Vec::new(),
-            hand: 0,
-            budget,
-        }
-    }
-
-    fn get(&self, id: BlockId) -> Option<Arc<CachedNode>> {
-        let idx = *self.map.get(&id.0)?;
-        self.slots[idx].entry.as_ref().map(Arc::clone)
-    }
-
-    fn insert(&mut self, id: BlockId, entry: CachedNode) {
-        let entry = Arc::new(entry);
-        if let Some(&idx) = self.map.get(&id.0) {
-            let slot = &mut self.slots[idx];
-            slot.entry = Some(entry);
-            slot.referenced = true; // the second chance
-            return;
-        }
-        let slot = WbSlot {
-            id: id.0,
-            entry: Some(entry),
-            referenced: true,
-        };
-        let idx = match self.vacant.pop() {
-            Some(i) => {
-                self.slots[i] = slot;
-                i
-            }
-            None => {
-                self.slots.push(slot);
-                self.slots.len() - 1
-            }
-        };
-        self.map.insert(id.0, idx);
-    }
-
-    /// Drops `id` without sealing (the node was freed; its plaintext is
-    /// zeroized when the last reference drops).
-    fn forget(&mut self, id: BlockId) {
-        if let Some(idx) = self.map.remove(&id.0) {
-            self.slots[idx].entry = None;
-            self.vacant.push(idx);
-        }
-    }
-
-    /// Removes and returns the eviction victim, for sealing: the first
-    /// entry at the hand whose referenced bit is already clear. Entries
-    /// passed on the way lose their bit, so a full revolution always
-    /// produces a victim.
-    fn pop_victim(&mut self) -> Option<(BlockId, Arc<CachedNode>)> {
-        if self.map.is_empty() {
-            return None;
-        }
-        loop {
-            let idx = self.hand % self.slots.len();
-            self.hand = (idx + 1) % self.slots.len();
-            let slot = &mut self.slots[idx];
-            if slot.entry.is_none() {
-                continue;
-            }
-            if slot.referenced {
-                slot.referenced = false;
-                continue;
-            }
-            let entry = slot.entry.take().expect("occupied slot");
-            self.map.remove(&slot.id);
-            self.vacant.push(idx);
-            return Some((BlockId(slot.id), entry));
-        }
-    }
-
-    fn len(&self) -> usize {
-        self.map.len()
-    }
-}
-
 /// A disk B-tree parameterised by block store and node codec.
 #[derive(Debug)]
 pub struct BTree<S: BlockStore, C: NodeCodec> {
@@ -195,15 +80,11 @@ pub struct BTree<S: BlockStore, C: NodeCodec> {
     /// at each flush, so a reopen can tell whether the two devices
     /// committed in step.
     stamp: u64,
-    /// Plaintext node cache for the probe path (None = disabled). Entries
-    /// are invalidated on every node re-encode/free, so a cached decoding
-    /// always matches the page's current content.
-    cache: Option<NodeCache>,
-    /// Write-behind set of dirty nodes awaiting their physical seal
-    /// (None = every mutation re-seals immediately). Logical encode
-    /// counters are charged at mutation time by the codec's
-    /// [`NodeCodec::encode_to_cache`]; the seal itself is counter-silent.
-    wb: Option<WriteBehindSet>,
+    /// Decoded nodes above the crypto boundary: every node read goes
+    /// through it and every node write lands in it dirty (see
+    /// [`BTree::set_node_pool`]). Empty until configured, so every write
+    /// is sealed inside its mutation.
+    pool: NodePool,
 }
 
 impl<S: BlockStore, C: NodeCodec> BTree<S, C> {
@@ -351,8 +232,7 @@ impl<S: BlockStore, C: NodeCodec> BTree<S, C> {
             height: 1,
             t,
             stamp: 0,
-            cache: None,
-            wb: None,
+            pool: NodePool::new(0, 0),
         };
         let root = Node::leaf(root_id);
         tree.write_node(&root)?;
@@ -392,55 +272,41 @@ impl<S: BlockStore, C: NodeCodec> BTree<S, C> {
             height,
             t,
             stamp,
-            cache: None,
-            wb: None,
+            pool: NodePool::new(0, 0),
         })
     }
 
-    /// Enables the plaintext node cache with room for `capacity` decoded
-    /// nodes (0 disables it). Only effective for codecs that implement the
-    /// cache hooks ([`NodeCodec::supports_node_cache`]); the logical
-    /// operation counters are unaffected either way.
-    pub fn enable_node_cache(&mut self, capacity: usize) {
-        self.cache = if capacity > 0 && self.codec.supports_node_cache() {
-            Some(NodeCache::new(capacity))
-        } else {
-            None
-        };
+    /// Sizes the decoded-node pool: at most `capacity` decoded nodes, at
+    /// most `min(dirty_cap, capacity)` of them dirty. A mutated node then
+    /// absorbs further mutations in plaintext above the crypto boundary
+    /// and is physically re-enciphered only when the dirty cap or a
+    /// [`BTree::flush`] forces it; `dirty_cap = 0` seals inside the
+    /// mutation. The logical operation counters are unaffected either
+    /// way: each mutation is charged its full encode profile at mutation
+    /// time and each visit its full probe or decode profile. Dirty
+    /// entries of the previous pool are sealed first.
+    pub fn set_node_pool(&mut self, capacity: usize, dirty_cap: usize) -> Result<(), TreeError> {
+        self.seal_all_deferred()?;
+        self.pool = NodePool::new(capacity, dirty_cap);
+        Ok(())
     }
 
-    /// Nodes currently held decoded in the plaintext cache.
+    /// Decoded nodes held in the pool, clean and dirty.
     pub fn cached_nodes(&self) -> usize {
-        self.cache.as_ref().map(NodeCache::len).unwrap_or(0)
+        self.pool.len()
     }
 
-    /// Enables write-behind node re-sealing with room for `budget` dirty
-    /// nodes (0 disables it). A mutated node then absorbs further
-    /// mutations in plaintext above the crypto boundary and is physically
-    /// re-enciphered only on budget pressure, [`BTree::flush`] or an
-    /// explicit [`BTree::seal_all_deferred`]. Only effective for codecs
-    /// implementing the write-behind hooks
-    /// ([`NodeCodec::supports_write_behind`]); the logical operation
-    /// counters are unaffected either way — each mutation is still charged
-    /// its full encode profile at mutation time.
-    pub fn enable_write_behind(&mut self, budget: usize) {
-        self.wb = if budget > 0 && self.codec.supports_write_behind() {
-            Some(WriteBehindSet::new(budget))
-        } else {
-            None
-        };
-    }
-
-    /// Dirty nodes currently awaiting their physical seal.
+    /// Dirty nodes in the pool: each is newer than its page on the medium
+    /// and owes it one physical seal.
     pub fn deferred_nodes(&self) -> usize {
-        self.wb.as_ref().map(WriteBehindSet::len).unwrap_or(0)
+        self.pool.dirty_len()
     }
 
-    /// Physically seals every deferred dirty node back to the store
-    /// (counter-silent apart from `node_reseals`; the logical cost was
-    /// charged per mutation).
-    pub fn seal_all_deferred(&mut self) -> Result<(), TreeError> {
-        while let Some((id, entry)) = self.wb.as_mut().and_then(WriteBehindSet::pop_victim) {
+    /// Physically seals every dirty node back to the store; the entries
+    /// stay in the pool as clean decoded nodes (counter-silent apart from
+    /// `node_reseals`; the logical cost was charged per mutation).
+    fn seal_all_deferred(&mut self) -> Result<(), TreeError> {
+        while let Some((id, entry)) = self.pool.dirty_victim(true) {
             self.seal_entry(id, &entry)?;
         }
         Ok(())
@@ -484,91 +350,63 @@ impl<S: BlockStore, C: NodeCodec> BTree<S, C> {
 
     // ---- node I/O ------------------------------------------------------
 
-    /// Reads and fully materialises a node. With the plaintext cache
-    /// enabled, a hit serves the decoded node from RAM while the codec
-    /// replays a raw decode's exact logical counter profile
-    /// ([`NodeCodec::decode_cached`]); a miss decodes the page once,
-    /// counter-silently, fills the cache and replays the same profile —
-    /// so range scans, update-path descents and validation walks report
-    /// identical logical costs with the cache on or off.
+    /// Reads and fully materialises a node. A pool hit serves the
+    /// decoded node from RAM while the codec replays a raw decode's exact
+    /// logical counter profile ([`NodeCodec::decode_cached`]); a miss
+    /// decodes the page once, counter-silently, fills the pool and
+    /// replays the same profile — so range scans, update-path descents
+    /// and validation walks report identical logical costs whatever the
+    /// pool holds.
     fn read_node(&self, id: BlockId) -> Result<Node, TreeError> {
         self.counters().bump(|c| &c.node_visits);
-        // A write-behind node's disk page is stale: the dirty set is the
-        // authoritative copy and must be consulted before cache and disk.
-        // `decode_cached` replays the raw decode's exact logical cost.
-        if let Some(entry) = self.wb.as_ref().and_then(|wb| wb.get(id)) {
-            return Ok(self.codec.decode_cached(&entry)?);
-        }
-        let Some(cache) = &self.cache else {
-            let t = self.counters().obs().start();
-            let page = self.store.read_block_vec(id)?;
-            let node = self.codec.decode(id, &page)?;
-            self.counters().obs().stage(Stage::NodeUnseal, t);
-            return Ok(node);
-        };
-        if let Some(entry) = cache.get(id) {
-            self.counters().bump(|c| &c.node_cache_hits);
-            return Ok(self.codec.decode_cached(&entry)?);
-        }
-        self.counters().bump(|c| &c.node_cache_misses);
+        // A hit is timed too: its replayed disguise recoveries are real work.
         let t = self.counters().obs().start();
-        let page = self.store.read_block_vec(id)?;
-        let out = match self.codec.decode_for_cache(id, &page) {
-            Ok(entry) => {
-                let node = self.codec.decode_cached(&entry)?;
-                cache.insert(id, entry);
-                Ok(node)
+        let node = match self.pool.get(id) {
+            Some(entry) => {
+                self.counters().bump(|c| &c.node_cache_hits);
+                self.codec.decode_cached(&entry)?
             }
-            // E.g. a page the cache hooks cannot represent: fall back to
-            // the plain (counted) decode.
-            Err(_) => Ok(self.codec.decode(id, &page)?),
+            None => {
+                self.counters().bump(|c| &c.node_cache_misses);
+                let page = self.store.read_block_vec(id)?;
+                let entry = self.codec.decode_for_cache(id, &page)?;
+                let node = self.codec.decode_cached(&entry)?;
+                self.pool.fill(id, entry);
+                node
+            }
         };
         self.counters().obs().stage(Stage::NodeUnseal, t);
-        out
+        Ok(node)
     }
 
+    /// Every node write: charge the logical encode (and surface every
+    /// encode error — shape, key domain, fit — at mutation time), park
+    /// the decoded node dirty in the pool, then seal clock-chosen cold
+    /// dirty nodes while over the dirty cap.
     fn write_node(&mut self, node: &Node) -> Result<(), TreeError> {
-        if let Some(cache) = &self.cache {
-            // Re-encoding changes the page's version: the old decoding
-            // must never serve another probe.
-            cache.invalidate(node.id);
-        }
-        if self.wb.is_some() {
-            // Defer the physical seal: charge the full logical encode
-            // profile now (and surface every encode error — shape, key
-            // domain, fit — at mutation time), park the plaintext entry,
-            // and seal a clock-chosen cold node once over budget.
-            let entry = self.codec.encode_to_cache(node, self.store.block_size())?;
-            let wb = self.wb.as_mut().expect("checked above");
-            wb.insert(node.id, entry);
-            self.counters().bump(|c| &c.node_writes_deferred);
-            while let Some((id, victim)) = self.wb.as_mut().and_then(|wb| {
-                if wb.len() > wb.budget {
-                    wb.pop_victim()
-                } else {
-                    None
-                }
-            }) {
-                self.seal_entry(id, &victim)?;
-            }
-            return Ok(());
-        }
         let t = self.counters().obs().start();
-        let mut page = vec![0u8; self.store.block_size()];
-        self.codec.encode(node, &mut page)?;
-        self.store.write_block(node.id, &page)?;
+        let entry = self.codec.encode_to_cache(node, self.store.block_size())?;
         self.counters().obs().stage(Stage::NodeSeal, t);
+        self.pool.put_dirty(node.id, entry);
+        while let Some((id, victim)) = self.pool.dirty_victim(false) {
+            self.seal_entry(id, &victim)?;
+        }
+        if self.pool.is_dirty(node.id) {
+            self.counters().bump(|c| &c.node_writes_deferred);
+        }
+        self.pool.shrink();
         Ok(())
     }
 
-    /// Physically enciphers one deferred entry back to the store. Apart
-    /// from `node_reseals` this touches no counters — the logical encode
-    /// cost was charged when the mutation was deferred.
+    /// Physically enciphers one dirty entry back to the store and marks
+    /// it clean. Apart from `node_reseals` this touches no counters — the
+    /// logical encode cost was charged when the mutation was parked.
     fn seal_entry(&mut self, id: BlockId, entry: &CachedNode) -> Result<(), TreeError> {
         let t = self.counters().obs().start();
         let mut page = vec![0u8; self.store.block_size()];
         self.codec.encode_from_cache(entry, &mut page)?;
         self.store.write_block(id, &page)?;
+        self.pool.mark_clean(id);
         self.counters().bump(|c| &c.node_reseals);
         self.counters().obs().stage(Stage::NodeSeal, t);
         Ok(())
@@ -581,14 +419,9 @@ impl<S: BlockStore, C: NodeCodec> BTree<S, C> {
     }
 
     fn free_node(&mut self, id: BlockId) -> Result<(), TreeError> {
-        if let Some(wb) = &mut self.wb {
-            // A freed node never needs its deferred seal; the plaintext is
-            // zeroized when the last reference drops.
-            wb.forget(id);
-        }
-        if let Some(cache) = &self.cache {
-            cache.invalidate(id);
-        }
+        // A freed node never needs its deferred seal; the plaintext is
+        // zeroized when the last reference drops.
+        self.pool.forget(id);
         Ok(self.store.free(id)?)
     }
 
@@ -644,9 +477,9 @@ impl<S: BlockStore, C: NodeCodec> BTree<S, C> {
 
     /// Point lookup via raw-page probes — the paper's search path. Costs
     /// exactly the decryptions the codec's scheme requires per node
-    /// *logically*; with the plaintext node cache enabled, a cached node
-    /// serves the probe from RAM (zero physical decipherments) while the
-    /// counters still record the same logical cost.
+    /// *logically*; a node held in the decoded-node pool serves the probe
+    /// from RAM (zero physical decipherments) while the counters still
+    /// record the same logical cost.
     pub fn get(&self, key: u64) -> Result<Option<RecordPtr>, TreeError> {
         let mut cur = self.root;
         loop {
@@ -659,31 +492,23 @@ impl<S: BlockStore, C: NodeCodec> BTree<S, C> {
         }
     }
 
-    /// One node visit of the search path: served from the plaintext cache
-    /// on a hit, otherwise a raw-page probe that also fills the cache.
+    /// One node visit of the search path: served from the pool on a hit,
+    /// otherwise a raw-page probe that also fills the pool.
     fn probe_node(&self, id: BlockId, key: u64) -> Result<Probe, TreeError> {
-        // Dirty-first, like `read_node`: the disk page of a write-behind
-        // node is stale. `probe_cached` replays the raw probe's exact
-        // logical cost.
-        if let Some(entry) = self.wb.as_ref().and_then(|wb| wb.get(id)) {
-            return Ok(self.codec.probe_cached(&entry, key)?);
-        }
-        let Some(cache) = &self.cache else {
-            let page = self.store.read_block_vec(id)?;
-            return Ok(self.codec.probe(id, &page, key)?);
-        };
-        if let Some(entry) = cache.get(id) {
+        if let Some(entry) = self.pool.get(id) {
             self.counters().bump(|c| &c.node_cache_hits);
             return Ok(self.codec.probe_cached(&entry, key)?);
         }
         self.counters().bump(|c| &c.node_cache_misses);
         let page = self.store.read_block_vec(id)?;
         let probe = self.codec.probe(id, &page, key)?;
-        // Fill for the next probe. Decoding is counter-silent (physical
+        // Fill for the next visit. Decoding is counter-silent (physical
         // work, not a logical operation); a decode failure — e.g. a
         // corrupt entry the probe never crossed — just skips the fill.
-        if let Ok(entry) = self.codec.decode_for_cache(id, &page) {
-            cache.insert(id, entry);
+        if self.pool.capacity() > 0 {
+            if let Ok(entry) = self.codec.decode_for_cache(id, &page) {
+                self.pool.fill(id, entry);
+            }
         }
         Ok(probe)
     }
@@ -1128,8 +953,8 @@ impl<S: BlockStore, C: NodeCodec> BTree<S, C> {
     /// memory stays O(tree height) however wide the range. This is the
     /// operation §1 motivates and §4.3 preserves: whole-subtree access
     /// works because triplet *positions* are never based on disguised
-    /// values. Node visits go through the plaintext node cache when
-    /// enabled (identical logical counters either way).
+    /// values. Node visits go through the decoded-node pool (identical
+    /// logical counters whatever it holds).
     pub fn iter_range(&self, lo: u64, hi: u64) -> RangeIter<'_, S, C> {
         let mut iter = RangeIter {
             tree: self,

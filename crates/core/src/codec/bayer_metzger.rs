@@ -224,10 +224,6 @@ impl NodeCodec for BayerMetzgerCodec {
         "bayer-metzger"
     }
 
-    fn supports_node_cache(&self) -> bool {
-        true
-    }
-
     fn decode_for_cache(&self, id: BlockId, page: &[u8]) -> Result<CachedNode, CodecError> {
         // `decode`, counter-silent. No raw-key sidecar: the probe replay
         // needs only the plaintext keys (the search compares decrypted
@@ -316,10 +312,6 @@ impl NodeCodec for BayerMetzgerCodec {
         }
         self.counters.bump_by(|c| &c.key_decrypts, node.n() as u64);
         Ok(node.clone())
-    }
-
-    fn supports_write_behind(&self) -> bool {
-        true
     }
 
     fn encode_to_cache(&self, node: &Node, page_len: usize) -> Result<CachedNode, CodecError> {

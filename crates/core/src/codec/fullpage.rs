@@ -164,10 +164,6 @@ impl NodeCodec for FullPageCodec {
         "bm-full-page"
     }
 
-    fn supports_node_cache(&self) -> bool {
-        true
-    }
-
     fn decode_for_cache(&self, id: BlockId, page: &[u8]) -> Result<CachedNode, CodecError> {
         if !page.len().is_multiple_of(8) {
             return Err(CodecError::Corrupt(
@@ -211,10 +207,6 @@ impl NodeCodec for FullPageCodec {
                 }
             }
         }
-    }
-
-    fn supports_write_behind(&self) -> bool {
-        true
     }
 
     fn encode_to_cache(&self, node: &Node, page_len: usize) -> Result<CachedNode, CodecError> {

@@ -250,15 +250,6 @@ impl sks_btree_core::NodeCodec for AnyCodec {
         }
     }
 
-    fn supports_node_cache(&self) -> bool {
-        match self {
-            AnyCodec::Plain(c) => c.supports_node_cache(),
-            AnyCodec::Substitution(c) => c.supports_node_cache(),
-            AnyCodec::BayerMetzger(c) => c.supports_node_cache(),
-            AnyCodec::FullPage(c) => c.supports_node_cache(),
-        }
-    }
-
     fn decode_for_cache(
         &self,
         id: sks_storage::BlockId,
@@ -294,15 +285,6 @@ impl sks_btree_core::NodeCodec for AnyCodec {
             AnyCodec::Substitution(c) => c.decode_cached(entry),
             AnyCodec::BayerMetzger(c) => c.decode_cached(entry),
             AnyCodec::FullPage(c) => c.decode_cached(entry),
-        }
-    }
-
-    fn supports_write_behind(&self) -> bool {
-        match self {
-            AnyCodec::Plain(c) => c.supports_write_behind(),
-            AnyCodec::Substitution(c) => c.supports_write_behind(),
-            AnyCodec::BayerMetzger(c) => c.supports_write_behind(),
-            AnyCodec::FullPage(c) => c.supports_write_behind(),
         }
     }
 

@@ -265,10 +265,6 @@ impl NodeCodec for SubstitutionCodec {
         "substitution"
     }
 
-    fn supports_node_cache(&self) -> bool {
-        true
-    }
-
     fn decode_for_cache(&self, id: BlockId, page: &[u8]) -> Result<CachedNode, CodecError> {
         // `decode`, counter-silent, additionally retaining the raw
         // disguised key fields so `probe_cached` can replay the probe's
@@ -414,10 +410,6 @@ impl NodeCodec for SubstitutionCodec {
         Ok(node.clone())
     }
 
-    fn supports_write_behind(&self) -> bool {
-        true
-    }
-
     fn encode_to_cache(&self, node: &Node, page_len: usize) -> Result<CachedNode, CodecError> {
         // `encode`'s exact validation and counter profile with the seals
         // skipped: shape check, fit check, one ptr_encrypts per pointer
@@ -460,7 +452,7 @@ impl NodeCodec for SubstitutionCodec {
         let node = &entry.node;
         if entry.raw_keys.len() != node.n() {
             return Err(CodecError::Corrupt(format!(
-                "write-behind entry for block {} lacks its disguised keys",
+                "pooled entry for block {} lacks its disguised keys",
                 node.id
             )));
         }

@@ -172,12 +172,15 @@ pub struct SchemeConfig {
     /// `create_in_memory*` constructors ignore this; the backend-aware
     /// [`crate::EncipheredBTree::create`]/`open` and the engine honour it.
     pub backend: StorageBackend,
-    /// Capacity (in nodes) of the plaintext node cache serving the probe
-    /// path: repeated point reads of a cached node pay zero *physical*
-    /// decipherments, while the logical operation counters keep reporting
-    /// the paper's per-scheme cost. Entries are RAM-only and zeroized on
-    /// eviction; the medium still holds only enciphered bytes. `0`
-    /// disables the cache.
+    /// Capacity (in nodes, per tree partition) of the decoded-node pool:
+    /// one clock buffer of decoded nodes above the crypto boundary that
+    /// every node read and write goes through. Repeated visits of a
+    /// pooled node pay zero *physical* decipherments, while the logical
+    /// operation counters keep reporting the paper's per-scheme cost.
+    /// Dirty entries count against this capacity too (see
+    /// `write_behind`). Entries are RAM-only and zeroized on eviction;
+    /// the medium still holds only enciphered bytes. `0` holds nothing:
+    /// every visit deciphers and every write seals inside its mutation.
     pub node_cache: usize,
     /// Dirty-page high-water mark per tree partition (file backend): when
     /// a mutation leaves more dirty pages than this buffered in the
@@ -243,17 +246,18 @@ pub struct SchemeConfig {
     /// `wal_bytes` stay per-record byte-identical, and replay accepts
     /// both framings. Standalone trees ignore it.
     pub seal_batch: bool,
-    /// Write-behind budget for node re-sealing: up to this many dirty
-    /// B-tree nodes are held decoded *above* the crypto boundary,
-    /// absorbing multiple mutations before being re-enciphered (on
-    /// eviction, cache pressure, flush or checkpoint). The logical
-    /// encode counters keep charging the paper's per-mutation cost —
-    /// physical skips are visible in `node_writes_deferred` /
-    /// `node_reseals`. Durability is unchanged: the WAL already covers
-    /// every mutation, and every flush/checkpoint seals the set. `0`
-    /// (the default) disables: every mutation re-seals immediately.
-    /// Opt in with [`SchemeConfig::write_behind`]
-    /// ([`SchemeConfig::DEFAULT_WRITE_BEHIND`] is a good budget).
+    /// Dirty cap of the decoded-node pool: at most
+    /// `min(write_behind, node_cache)` pooled nodes may be *dirty* —
+    /// mutated above the crypto boundary and not yet re-enciphered. A
+    /// dirty node absorbs further mutations and is sealed once, when
+    /// clock eviction over the cap or a flush/checkpoint reaches it; it
+    /// then stays pooled as a clean node. The logical encode counters
+    /// keep charging the paper's per-mutation cost — physical skips are
+    /// visible in `node_writes_deferred` / `node_reseals`. Durability is
+    /// unchanged: the WAL already covers every mutation, and every
+    /// flush/checkpoint seals the dirty set. Defaults to
+    /// [`SchemeConfig::DEFAULT_WRITE_BEHIND`]; `0` runs the same pool
+    /// with a cap of 0, sealing each node inside its mutation.
     pub write_behind: usize,
     /// Delta-encoded reverse-index persistence: when on (the default)
     /// each flush appends only the block→keys entries that changed since
@@ -295,7 +299,7 @@ impl SchemeConfig {
             global_record_cache: 0,
             observability: sks_storage::ObsLevel::Counters,
             seal_batch: true,
-            write_behind: 0,
+            write_behind: Self::DEFAULT_WRITE_BEHIND,
             index_delta: true,
             index_rewrite_period: Self::DEFAULT_INDEX_REWRITE_PERIOD,
         }
@@ -331,13 +335,13 @@ impl SchemeConfig {
             global_record_cache: 0,
             observability: sks_storage::ObsLevel::Counters,
             seal_batch: true,
-            write_behind: 0,
+            write_behind: Self::DEFAULT_WRITE_BEHIND,
             index_delta: true,
             index_rewrite_period: Self::DEFAULT_INDEX_REWRITE_PERIOD,
         }
     }
 
-    /// Default plaintext node-cache capacity: enough to keep the hot upper
+    /// Default decoded-node pool capacity: enough to keep the hot upper
     /// levels of a large tree decoded without unbounded memory.
     pub const DEFAULT_NODE_CACHE: usize = 1024;
 
@@ -355,11 +359,10 @@ impl SchemeConfig {
     /// records; anything lighter is deferred until churn concentrates.
     pub const DEFAULT_COMPACTION_FLOOR: u8 = 25;
 
-    /// Suggested write-behind budget for callers that opt in (dirty
-    /// decoded nodes held above the crypto boundary per tree). Sized to
+    /// Default dirty cap of the decoded-node pool (`write_behind`): dirty
+    /// decoded nodes held above the crypto boundary per tree. Sized to
     /// cover a hot root-to-leaf mutation path many times over while
-    /// keeping plaintext residency bounded. The field default is `0`
-    /// (re-seal on every mutation).
+    /// keeping plaintext residency bounded.
     pub const DEFAULT_WRITE_BEHIND: usize = 64;
 
     /// Default full-rewrite period for the delta-encoded reverse index:
@@ -387,14 +390,15 @@ impl SchemeConfig {
         self
     }
 
-    /// Builder-style write-behind knob (dirty decoded nodes held above
-    /// the crypto boundary; 0 re-seals on every mutation).
+    /// Builder-style dirty cap of the decoded-node pool (see the
+    /// `write_behind` field; 0 seals inside every mutation).
     pub fn write_behind(mut self, nodes: usize) -> Self {
         self.write_behind = nodes;
         self
     }
 
-    /// Builder-style node-cache knob (capacity in nodes; 0 disables).
+    /// Builder-style decoded-node pool capacity (see the `node_cache`
+    /// field; 0 holds nothing).
     pub fn node_cache(mut self, capacity: usize) -> Self {
         self.node_cache = capacity;
         self

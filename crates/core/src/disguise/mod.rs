@@ -71,7 +71,7 @@ pub trait KeyDisguise: Send + Sync {
     fn recover(&self, disguised: u64) -> Result<u64, DisguiseError>;
 
     /// [`KeyDisguise::recover`] without touching the operation counters.
-    /// The plaintext node cache uses this to materialise entries: cache
+    /// The decoded-node pool uses this to materialise entries: pool
     /// maintenance is physical work outside the paper's cost model, which
     /// charges only the probes themselves. Counting disguises must
     /// override this with a silent computation.

@@ -289,8 +289,7 @@ impl EncipheredBTree {
         } else {
             BTree::open(node_store, codec)?
         };
-        tree.enable_node_cache(config.node_cache);
-        tree.enable_write_behind(config.write_behind);
+        tree.set_node_pool(config.node_cache, config.write_behind)?;
         let mut records = if create {
             RecordStore::create(data_store, config.data_key, config.record_cache)?
         } else {
@@ -405,8 +404,7 @@ impl EncipheredBTree {
             pairs.push((*key, records.insert_keyed(*key, record)?));
         }
         let mut tree = BTree::bulk_load(node_store, codec, &pairs)?;
-        tree.enable_node_cache(config.node_cache);
-        tree.enable_write_behind(config.write_behind);
+        tree.set_node_pool(config.node_cache, config.write_behind)?;
         let mut this = EncipheredBTree {
             config,
             counters,
@@ -581,7 +579,7 @@ impl EncipheredBTree {
     /// Streaming range scan: yields `(key, record)` pairs with
     /// `lo <= key <= hi` in key order without materialising the result —
     /// memory stays O(tree height + one record) however wide the range.
-    /// Node visits are served from the plaintext node cache and record
+    /// Node visits are served from the decoded-node pool and record
     /// unseals from the record cache when enabled; the logical counters
     /// report the paper's per-scheme cost either way.
     pub fn iter_range(
@@ -648,21 +646,21 @@ impl EncipheredBTree {
     /// unbuffered backends). The engine's dirty high-water trigger watches
     /// this.
     pub fn dirty_pages(&self) -> usize {
-        // A write-behind node is a dirty page the pool has not seen yet:
-        // it still owes the medium one block write, so governance budgets
-        // must count it.
+        // A dirty pooled node is a dirty page the page pool has not seen
+        // yet: it still owes the medium one block write, so governance
+        // budgets must count it.
         self.tree.store().dirty_pages()
             + self.records.store().dirty_pages()
             + self.tree.deferred_nodes()
     }
 
-    /// Nodes currently held decoded in the plaintext node cache.
+    /// Nodes currently held decoded in the node pool, clean and dirty.
     pub fn cached_nodes(&self) -> usize {
         self.tree.cached_nodes()
     }
 
-    /// Dirty write-behind nodes awaiting their physical re-seal (0 unless
-    /// [`crate::config::SchemeConfig::write_behind`] opted in).
+    /// Dirty pooled nodes awaiting their physical re-seal (at most
+    /// `min(write_behind, node_cache)`; 0 right after a flush).
     pub fn deferred_nodes(&self) -> usize {
         self.tree.deferred_nodes()
     }
@@ -1238,40 +1236,57 @@ mod tests {
     /// counter reads exactly as it does with it off, for every measured
     /// scheme, across mutations, reads of dirty nodes, budget evictions
     /// and the final flush.
+    /// Counters of a mutation-heavy mix over dirty and clean nodes —
+    /// updates, deletes, re-inserts, point reads of hot (dirty) keys, a
+    /// range scan — then the flush that seals every deferred node, on a
+    /// 300-key tree with 512-byte blocks.
+    fn mutation_mix_snapshot(scheme: Scheme, tune: impl Fn(&mut SchemeConfig)) -> OpSnapshot {
+        let n = 300u64;
+        let mut cfg = SchemeConfig::with_capacity(scheme, n + 2);
+        cfg.block_size = 512;
+        tune(&mut cfg);
+        let mut tree = EncipheredBTree::create_in_memory(cfg).unwrap();
+        for k in 1..n {
+            tree.insert(k, vec![k as u8]).unwrap();
+        }
+        tree.counters().reset();
+        for k in (1..n).step_by(5) {
+            tree.insert(k, vec![(k + 1) as u8]).unwrap();
+        }
+        for k in (1..n).step_by(9) {
+            tree.delete(k).unwrap();
+        }
+        for k in (1..n).step_by(9) {
+            tree.insert(k, vec![7]).unwrap();
+        }
+        for k in (1..n).step_by(3) {
+            let _ = tree.get_pointer(k).unwrap();
+        }
+        assert!(!tree.range(n / 4, n / 2).unwrap().is_empty());
+        tree.flush().unwrap();
+        assert_eq!(tree.deferred_nodes(), 0, "flush seals everything");
+        tree.snapshot()
+    }
+
+    /// Physical-I/O telemetry a node pool or page pool may change; every
+    /// other counter is the paper's logical cost.
+    const PHYSICAL_FIELDS: [&str; 9] = [
+        "block_reads",
+        "block_writes",
+        "cache_hits",
+        "cache_misses",
+        "cache_evicts",
+        "node_cache_hits",
+        "node_cache_misses",
+        "node_writes_deferred",
+        "node_reseals",
+    ];
+
     #[test]
     fn write_behind_preserves_logical_counters_exactly() {
         for scheme in Scheme::MEASURED {
-            let n = 300u64;
-            let mut cfg = SchemeConfig::with_capacity(scheme, n + 2);
-            cfg.block_size = 512;
             let run = |write_behind: usize| {
-                let mut cfg = cfg.clone();
-                cfg.write_behind = write_behind;
-                let mut tree = EncipheredBTree::create_in_memory(cfg).unwrap();
-                for k in 1..n {
-                    tree.insert(k, vec![k as u8]).unwrap();
-                }
-                tree.counters().reset();
-                // Mutation-heavy mix over dirty and clean nodes — updates,
-                // deletes, re-inserts, point reads of hot (dirty) keys, a
-                // range scan — then the flush that seals every deferred
-                // node.
-                for k in (1..n).step_by(5) {
-                    tree.insert(k, vec![(k + 1) as u8]).unwrap();
-                }
-                for k in (1..n).step_by(9) {
-                    tree.delete(k).unwrap();
-                }
-                for k in (1..n).step_by(9) {
-                    tree.insert(k, vec![7]).unwrap();
-                }
-                for k in (1..n).step_by(3) {
-                    let _ = tree.get_pointer(k).unwrap();
-                }
-                assert!(!tree.range(n / 4, n / 2).unwrap().is_empty());
-                tree.flush().unwrap();
-                assert_eq!(tree.deferred_nodes(), 0, "flush seals everything");
-                tree.snapshot()
+                mutation_mix_snapshot(scheme, |cfg| cfg.write_behind = write_behind)
             };
             let off = run(0);
             // A budget small enough that the workload also exercises
@@ -1307,6 +1322,119 @@ mod tests {
                 on_masked,
                 off,
                 "{}: write-behind changed the logical cost model",
+                scheme.name()
+            );
+        }
+    }
+
+    /// The default config (a dirty node pool) charges the mutation mix
+    /// exactly the logical counts the eager path did — one re-seal per
+    /// node mutation — captured from the eager path as golden values.
+    #[test]
+    fn default_pool_matches_eager_golden_logical_counters() {
+        const COMMON: [(&str, u64); 5] = [
+            ("data_encrypts", 94),
+            ("data_decrypts", 170),
+            ("record_cache_hits", 170),
+            ("index_full_flushes", 1),
+            ("index_flush_bytes", 3058),
+        ];
+        // Plaintext-sized and full-page nodes hold more keys than nodes of
+        // sealed triplets, so their trees split, merge and allocate less.
+        const WIDE_NODES: [(&str, u64); 5] = [
+            ("allocs", 10),
+            ("frees", 11),
+            ("splits", 2),
+            ("merges", 11),
+            ("borrows", 15),
+        ];
+        const TRIPLET_NODES: [(&str, u64); 5] = [
+            ("allocs", 14),
+            ("frees", 18),
+            ("splits", 6),
+            ("merges", 17),
+            ("borrows", 14),
+        ];
+        let golden: [(Scheme, Vec<(&str, u64)>); 6] = [
+            (
+                Scheme::Plaintext,
+                vec![("key_compares", 763), ("node_visits", 560)],
+            ),
+            (
+                Scheme::BayerMetzger,
+                vec![
+                    ("key_encrypts", 2945),
+                    ("key_decrypts", 5903),
+                    ("ptr_encrypts", 43),
+                    ("ptr_decrypts", 262),
+                    ("key_compares", 755),
+                    ("node_visits", 683),
+                ],
+            ),
+            (
+                Scheme::BayerMetzgerPage,
+                vec![
+                    ("page_encrypts", 12928),
+                    ("page_decrypts", 35840),
+                    ("key_compares", 97),
+                    ("node_visits", 560),
+                ],
+            ),
+            (
+                Scheme::Oval,
+                vec![
+                    ("ptr_encrypts", 2988),
+                    ("ptr_decrypts", 5599),
+                    ("disguise_ops", 2945),
+                    ("recover_ops", 5903),
+                    ("key_compares", 755),
+                    ("node_visits", 683),
+                ],
+            ),
+            (
+                Scheme::Exponentiation,
+                vec![
+                    ("ptr_encrypts", 2988),
+                    ("ptr_decrypts", 5599),
+                    ("disguise_ops", 2945),
+                    ("recover_ops", 5903),
+                    ("dlog_ops", 2945),
+                    ("key_compares", 755),
+                    ("node_visits", 683),
+                ],
+            ),
+            (
+                Scheme::SumOfTreatments,
+                vec![
+                    ("ptr_encrypts", 2988),
+                    ("ptr_decrypts", 5599),
+                    ("disguise_ops", 3140),
+                    ("recover_ops", 5148),
+                    ("key_compares", 755),
+                    ("node_visits", 683),
+                ],
+            ),
+        ];
+        assert_eq!(golden.clone().map(|(s, _)| s), Scheme::MEASURED);
+        for (scheme, own) in golden {
+            let default = SchemeConfig::with_capacity(scheme, 302);
+            assert_eq!(default.write_behind, SchemeConfig::DEFAULT_WRITE_BEHIND);
+            assert!(default.node_cache >= default.write_behind);
+            let shape = match scheme {
+                Scheme::Plaintext | Scheme::BayerMetzgerPage => WIDE_NODES,
+                _ => TRIPLET_NODES,
+            };
+            let want: std::collections::BTreeMap<&str, u64> =
+                COMMON.into_iter().chain(shape).chain(own).collect();
+            let got: std::collections::BTreeMap<&str, u64> = mutation_mix_snapshot(scheme, |_| {})
+                .fields()
+                .into_iter()
+                .filter(|(name, v)| *v != 0 && !PHYSICAL_FIELDS.contains(name))
+                .collect();
+            assert_eq!(
+                got,
+                want,
+                "{}: default pool changed the logical counts",
                 scheme.name()
             );
         }

@@ -409,6 +409,10 @@ impl<D: WalDevice> DoubleBuffered<D> {
     /// the foreground is free to seal the next group meanwhile.
     fn submit_sync(&mut self) -> Result<SyncTicket, StorageError> {
         self.check_error()?;
+        // Waking the writer can hand it this thread's core until its fsync
+        // starts: part of the committer's durability barrier, like the
+        // ticket wait.
+        let timer = self.counters.obs().start();
         self.next_ticket += 1;
         let seq = self.next_ticket;
         *self.shared.inflight.lock().expect("wal inflight") += 1;
@@ -422,6 +426,7 @@ impl<D: WalDevice> DoubleBuffered<D> {
             self.check_error()?;
             return Err(StorageError::Io("wal writer thread exited".into()));
         }
+        self.counters.obs().stage(Stage::WalFsync, timer);
         Ok(SyncTicket {
             state: Arc::clone(&self.shared.syncs),
             seq,

@@ -154,12 +154,13 @@ counters! {
     /// ≥2 staged records under one CTR body + CRC; single-record commits
     /// keep the legacy framing and are not counted here).
     wal_sealed_batches,
-    /// Node writes absorbed by the write-behind set instead of paying a
-    /// physical re-encipherment (the *logical* encode counters are still
-    /// charged per mutation — this is the physical saving).
+    /// Node writes left dirty in the decoded-node pool instead of paying
+    /// a physical re-encipherment inside the mutation (the *logical*
+    /// encode counters are still charged per mutation — this is the
+    /// physical saving).
     node_writes_deferred,
-    /// Physical node re-encipherments paid when a write-behind node is
-    /// finally sealed (eviction, cache pressure, flush, checkpoint).
+    /// Physical node re-encipherments: a dirty pooled node sealed to the
+    /// store (dirty-cap eviction, flush, checkpoint).
     node_reseals,
     /// Reverse-index persists that wrote only the changed block entries
     /// as a delta segment prepended to the existing chain.

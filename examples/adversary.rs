@@ -23,6 +23,8 @@ fn build(scheme: Scheme, n: u64) -> EncipheredBTree {
         tree.insert(k, format!("patient-{k};diagnosis=redacted").into_bytes())
             .expect("insert");
     }
+    // The opponent steals the at-rest image: seal every pooled node.
+    tree.flush().expect("flush");
     tree
 }
 

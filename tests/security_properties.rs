@@ -12,6 +12,8 @@ fn build(scheme: Scheme, n: u64, block_size: usize) -> EncipheredBTree {
     for k in start..start + n {
         tree.insert(k, format!("secret-{k}").into_bytes()).unwrap();
     }
+    // Attacks read the at-rest image: seal every pooled node first.
+    tree.flush().unwrap();
     tree
 }
 

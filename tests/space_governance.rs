@@ -71,12 +71,17 @@ fn scan_index(tree: &EncipheredBTree) -> Vec<(u32, u16, u64)> {
 /// drop without flush) recovers to the last checkpoint.
 struct ProbeRig {
     dir: std::path::PathBuf,
+    cfg: SchemeConfig,
     node_plan: FailPlan,
     data_plan: FailPlan,
 }
 
 impl ProbeRig {
     fn create(name: &str) -> (Self, EncipheredBTree) {
+        Self::create_with(name, config(4_096))
+    }
+
+    fn create_with(name: &str, cfg: SchemeConfig) -> (Self, EncipheredBTree) {
         let dir = tmpdir(name);
         std::fs::create_dir_all(&dir).unwrap();
         let counters = OpCounters::new();
@@ -87,7 +92,7 @@ impl ProbeRig {
         let (nodes, node_plan) = FailStore::new(nodes);
         let (data, data_plan) = FailStore::new(data);
         let tree = EncipheredBTree::create_on_stores(
-            config(4_096),
+            cfg.clone(),
             counters,
             Box::new(nodes),
             Box::new(data),
@@ -96,6 +101,7 @@ impl ProbeRig {
         (
             ProbeRig {
                 dir,
+                cfg,
                 node_plan,
                 data_plan,
             },
@@ -110,7 +116,7 @@ impl ProbeRig {
         let nodes =
             PagedFileStore::open(self.dir.join("nodes.sks"), 128, counters.clone()).unwrap();
         let data = PagedFileStore::open(self.dir.join("data.sks"), 128, counters.clone()).unwrap();
-        EncipheredBTree::open_on_stores(config(4_096), counters, Box::new(nodes), Box::new(data))
+        EncipheredBTree::open_on_stores(self.cfg.clone(), counters, Box::new(nodes), Box::new(data))
             .unwrap()
     }
 
@@ -173,10 +179,12 @@ fn crash_mid_reverse_index_update_recovers() {
 }
 
 /// Kill mid node-relocation: the fault fires on a node-device write while
-/// the sliding pass is repointing parents and moving sealed nodes.
+/// the sliding pass is repointing parents and moving sealed nodes. The rig
+/// seals every node inside its mutation (`write_behind(0)`), so the pass
+/// itself writes the device.
 #[test]
 fn crash_mid_node_relocation_recovers() {
-    let (rig, mut tree) = ProbeRig::create("reloc_crash");
+    let (rig, mut tree) = ProbeRig::create_with("reloc_crash", config(4_096).write_behind(0));
     let mut model = std::collections::BTreeMap::new();
     for k in 0..600u64 {
         tree.insert(k, rec(k)).unwrap();
@@ -196,6 +204,42 @@ fn crash_mid_node_relocation_recovers() {
     let mut tree = rig.reopen();
     // The pass completes fine after the reboot (before assert_consistent
     // packs the device itself).
+    let moved = tree.compact_nodes(1_000).unwrap();
+    assert!(
+        moved.moved_nodes + moved.node_blocks_truncated > 0,
+        "the re-run pass does the crashed pass's work: {moved:?}"
+    );
+    assert_consistent(&mut tree, &model);
+    rig.cleanup();
+}
+
+/// Default-config twin of [`crash_mid_node_relocation_recovers`]: the
+/// relocated nodes sit dirty in the node pool after the pass, so the
+/// fault fires in the flush that seals them.
+#[test]
+fn crash_mid_pooled_node_relocation_flush_recovers() {
+    let (rig, mut tree) = ProbeRig::create("reloc_pool_crash");
+    let mut model = std::collections::BTreeMap::new();
+    for k in 0..600u64 {
+        tree.insert(k, rec(k)).unwrap();
+        model.insert(k, rec(k));
+    }
+    for k in 0..500u64 {
+        tree.delete(k).unwrap();
+        model.remove(&k);
+    }
+    while tree.compact_step(64).unwrap().freed_blocks > 0 {}
+    tree.flush().unwrap(); // committed image A
+    let moved = tree.compact_nodes(1_000).unwrap();
+    assert!(moved.moved_nodes > 0, "the pass relocated nodes: {moved:?}");
+    assert!(tree.deferred_nodes() > 0, "relocations wait in the pool");
+    rig.node_plan.arm_nth_write(3, FailMode::Error);
+    assert!(
+        tree.flush().is_err(),
+        "sealing the relocations hit the fault"
+    );
+    drop(tree);
+    let mut tree = rig.reopen();
     let moved = tree.compact_nodes(1_000).unwrap();
     assert!(
         moved.moved_nodes + moved.node_blocks_truncated > 0,
