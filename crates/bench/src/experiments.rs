@@ -258,9 +258,7 @@ pub fn e5_shape_security(n_keys: u64, block_size: usize) -> (String, Vec<AttackR
     ));
     let mut reports = Vec::new();
     for &scheme in &schemes {
-        let mut tree = build_tree(scheme, n_keys, block_size, 31);
-        // The opponent steals the at-rest image: seal every pooled node.
-        tree.flush().expect("flush");
+        let tree = build_tree(scheme, n_keys, block_size, 31);
         let truth = ground_truth(&tree);
         let image = DiskImage::new(block_size, tree.raw_node_image().expect("raw image"));
         let report = AttackReport::run(scheme.name(), &image, &FormatKnowledge::default(), &truth);

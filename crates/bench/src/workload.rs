@@ -30,7 +30,8 @@ pub fn keys_for(scheme: Scheme, n: u64, seed: u64) -> Vec<u64> {
     }
 }
 
-/// Builds a populated tree for a scheme at a given scale and block size.
+/// Builds a populated tree for a scheme at a given scale and block size,
+/// flushed so the medium holds the at-rest image of every node.
 pub fn build_tree(scheme: Scheme, n_keys: u64, block_size: usize, seed: u64) -> EncipheredBTree {
     let mut cfg = SchemeConfig::with_capacity(scheme, n_keys + 2);
     cfg.block_size = block_size;
@@ -38,6 +39,7 @@ pub fn build_tree(scheme: Scheme, n_keys: u64, block_size: usize, seed: u64) -> 
     for k in keys_for(scheme, n_keys, seed) {
         tree.insert(k, record_for(k)).expect("insert in-domain key");
     }
+    tree.flush().expect("flush");
     tree
 }
 

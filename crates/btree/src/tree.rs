@@ -356,7 +356,7 @@ impl<S: BlockStore, C: NodeCodec> BTree<S, C> {
     /// decodes the page once, counter-silently, fills the pool and
     /// replays the same profile — so range scans, update-path descents
     /// and validation walks report identical logical costs whatever the
-    /// pool holds.
+    /// pool holds. With no pool a miss is one plain [`NodeCodec::decode`].
     fn read_node(&self, id: BlockId) -> Result<Node, TreeError> {
         self.counters().bump(|c| &c.node_visits);
         // A hit is timed too: its replayed disguise recoveries are real work.
@@ -365,6 +365,11 @@ impl<S: BlockStore, C: NodeCodec> BTree<S, C> {
             Some(entry) => {
                 self.counters().bump(|c| &c.node_cache_hits);
                 self.codec.decode_cached(&entry)?
+            }
+            None if self.pool.capacity() == 0 => {
+                self.counters().bump(|c| &c.node_cache_misses);
+                let page = self.store.read_block_vec(id)?;
+                self.codec.decode(id, &page)?
             }
             None => {
                 self.counters().bump(|c| &c.node_cache_misses);

@@ -1836,6 +1836,7 @@ mod tests {
         let mut tree = EncipheredBTree::create_in_memory(SchemeConfig::demo(Scheme::Oval)).unwrap();
         tree.insert(5, b"EXTREMELY-SECRET-PAYLOAD".to_vec())
             .unwrap();
+        tree.flush().unwrap();
         for image in [
             tree.raw_node_image().unwrap(),
             tree.raw_data_image().unwrap(),
