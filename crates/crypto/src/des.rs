@@ -1,10 +1,17 @@
 //! The Data Encryption Standard (FIPS PUB 46), implemented from the
-//! specification.
+//! specification. The paper (§5) names DES as one of the two cryptosystems
+//! suitable for enciphering node and data blocks. Validated against
+//! published test vectors; built for fidelity to the 1977 standard, **not**
+//! for protecting real data.
 //!
-//! The paper (§5) names DES as one of the two cryptosystems suitable for
-//! enciphering node and data blocks. This is a straightforward table-driven
-//! implementation validated against published test vectors — built for
-//! fidelity to the 1977 standard, **not** for protecting real data.
+//! It runs in the usual table-driven form, every table derived at compile
+//! time by `const fn` from the FIPS 46 tables below. IP, FP, PC1 and PC2
+//! (the last over the 56-bit `C ‖ D` word) become byte-indexed
+//! `[u64; 256]` tables: a permutation is the OR of one lookup per input
+//! byte. Each S-box and P form one `[u32; 64]` SP table, indexed by E's
+//! 6-bit group `i` of R, `R.rotate_left((4i + 31) % 32) >> 26`, XOR the
+//! subkey's group `i`; round subkeys are stored split into those groups.
+//! The tests check all of it against a bit-serial reference.
 
 use crate::cipher::BlockCipher64;
 
@@ -144,32 +151,87 @@ const SBOX: [[u8; 64]; 8] = [
 
 /// Applies a 1-indexed bit permutation table: output bit `i` (MSB-first) is
 /// input bit `table[i]` of a `width`-bit word (also MSB-first).
-fn permute(input: u64, width: u32, table: &[u8]) -> u64 {
+const fn permute(input: u64, width: u32, table: &[u8]) -> u64 {
     let mut out = 0u64;
-    for &src in table {
-        out = (out << 1) | ((input >> (width - src as u32)) & 1);
+    let mut i = 0;
+    while i < table.len() {
+        out = (out << 1) | ((input >> (width - table[i] as u32)) & 1);
+        i += 1;
     }
     out
 }
 
-/// The DES round function f(R, K).
-fn feistel_f(r: u32, subkey: u64) -> u32 {
-    let expanded = permute(r as u64, 32, &E); // 48 bits
-    let x = expanded ^ subkey;
-    let mut out = 0u32;
-    for (i, sbox) in SBOX.iter().enumerate() {
-        let chunk = ((x >> (42 - 6 * i)) & 0x3f) as u8;
-        let row = ((chunk & 0x20) >> 4) | (chunk & 0x01);
-        let col = (chunk >> 1) & 0x0f;
-        out = (out << 4) | sbox[(row * 16 + col) as usize] as u32;
+/// Byte-indexed tables for a permutation of an `8 * N`-bit word: `t[j][v]`
+/// permutes the word whose byte `j` (from the top) is `v` and whose other
+/// bits are 0. A permutation is linear, so entries are built up bit by bit.
+const fn byte_tables<const N: usize>(table: &[u8]) -> [[u64; 256]; N] {
+    let mut t = [[0u64; 256]; N];
+    let mut x = 0;
+    while x < N * 256 {
+        let (j, v) = (x / 256, x % 256);
+        let low = v & v.wrapping_neg();
+        t[j][v] = if v != low {
+            t[j][low] | t[j][v ^ low]
+        } else {
+            permute((v as u64) << (8 * (N - 1 - j)), 8 * N as u32, table)
+        };
+        x += 1;
     }
-    permute(out as u64, 32, &P) as u32
+    t
 }
 
-/// A DES key schedule (16 round subkeys).
+/// Applies a permutation through its [`byte_tables`].
+fn permute_bytes<const N: usize>(t: &[[u64; 256]; N], input: u64) -> u64 {
+    (0..N).fold(0, |out, j| {
+        out | t[j][(input >> (8 * (N - 1 - j))) as u8 as usize]
+    })
+}
+
+/// `SP[i][g]`: S-box `i` on the 6-bit group `g` (row = outer bits, column =
+/// inner bits), its 4-bit output placed at nibble `i` and sent through P.
+const fn sp_tables() -> [[u32; 64]; 8] {
+    let mut t = [[0u32; 64]; 8];
+    let mut x = 0;
+    while x < 8 * 64 {
+        let (i, g) = (x / 64, x % 64);
+        let s = SBOX[i][(g & 0x20) | ((g & 1) << 4) | ((g >> 1) & 0x0f)] as u64;
+        t[i][g] = permute(s << (28 - 4 * i), 32, &P) as u32;
+        x += 1;
+    }
+    t
+}
+
+/// Left rotations of R that bring E's group `i` to the top 6 bits, read
+/// off E. Compilation fails unless every group is 6 cyclically
+/// consecutive bits of R, the form the rotation relies on.
+const E_ROT: [u32; 8] = {
+    let mut rot = [0u32; 8];
+    let mut b = 0;
+    while b < 48 {
+        rot[b / 6] = (E[b - b % 6] as u32 + 31) % 32;
+        assert!(E[b] as u32 == (rot[b / 6] + (b % 6) as u32) % 32 + 1);
+        b += 1;
+    }
+    rot
+};
+
+static IP_T: [[u64; 256]; 8] = byte_tables(&IP);
+static FP_T: [[u64; 256]; 8] = byte_tables(&FP);
+static PC1_T: [[u64; 256]; 8] = byte_tables(&PC1);
+static PC2_T: [[u64; 256]; 7] = byte_tables(&PC2);
+static SP: [[u32; 64]; 8] = sp_tables();
+
+/// The DES round function f(R, K) over a subkey split into 6-bit groups.
+fn feistel_f(r: u32, subkey: &[u8; 8]) -> u32 {
+    (0..8).fold(0, |out, i| {
+        out | SP[i][((r.rotate_left(E_ROT[i]) >> 26) ^ subkey[i] as u32) as usize & 0x3f]
+    })
+}
+
+/// A DES key schedule: 16 round subkeys, each as its eight 6-bit groups.
 #[derive(Clone)]
 pub struct Des {
-    subkeys: [u64; 16],
+    subkeys: [[u8; 8]; 16],
 }
 
 impl std::fmt::Debug for Des {
@@ -181,16 +243,16 @@ impl std::fmt::Debug for Des {
 impl Des {
     /// Expands a 64-bit key (parity bits ignored, per the standard).
     pub fn new(key: u64) -> Self {
-        let permuted = permute(key, 64, &PC1); // 56 bits
-        let mut c = ((permuted >> 28) & 0x0fff_ffff) as u32;
-        let mut d = (permuted & 0x0fff_ffff) as u32;
-        let mut subkeys = [0u64; 16];
-        for round in 0..16 {
-            let shift = SHIFTS[round] as u32;
+        let permuted = permute_bytes(&PC1_T, key); // 56 bits
+        let mut c = (permuted >> 28) as u32;
+        let mut d = permuted as u32 & 0x0fff_ffff;
+        let mut subkeys = [[0u8; 8]; 16];
+        for (subkey, &shift) in subkeys.iter_mut().zip(&SHIFTS) {
+            let shift = shift as u32;
             c = ((c << shift) | (c >> (28 - shift))) & 0x0fff_ffff;
             d = ((d << shift) | (d >> (28 - shift))) & 0x0fff_ffff;
-            let cd = ((c as u64) << 28) | d as u64;
-            subkeys[round] = permute(cd, 56, &PC2);
+            let k = permute_bytes(&PC2_T, ((c as u64) << 28) | d as u64); // 48 bits
+            *subkey = std::array::from_fn(|i| (k >> (42 - 6 * i)) as u8 & 0x3f);
         }
         Des { subkeys }
     }
@@ -201,22 +263,17 @@ impl Des {
     }
 
     fn crypt(&self, block: u64, decrypt: bool) -> u64 {
-        let permuted = permute(block, 64, &IP);
+        let permuted = permute_bytes(&IP_T, block);
         let mut l = (permuted >> 32) as u32;
         let mut r = permuted as u32;
         for round in 0..16 {
-            let subkey = if decrypt {
-                self.subkeys[15 - round]
-            } else {
-                self.subkeys[round]
-            };
+            let subkey = &self.subkeys[if decrypt { 15 - round } else { round }];
             let new_r = l ^ feistel_f(r, subkey);
             l = r;
             r = new_r;
         }
         // Note the swap: the final round output is (R16, L16).
-        let preoutput = ((r as u64) << 32) | l as u64;
-        permute(preoutput, 64, &FP)
+        permute_bytes(&FP_T, ((r as u64) << 32) | l as u64)
     }
 }
 
@@ -259,6 +316,62 @@ impl BlockCipher64 for TripleDes {
     fn decrypt_block(&self, block: u64) -> u64 {
         self.k1
             .decrypt_block(self.k2.encrypt_block(self.k3.decrypt_block(block)))
+    }
+}
+
+/// The bit-serial DES of the FIPS 46 text: every permutation applied one
+/// bit at a time, straight from the tables. The table-driven [`Des`] is
+/// tested against it.
+#[cfg(test)]
+mod reference {
+    use super::{permute, E, FP, IP, P, PC1, PC2, SBOX, SHIFTS};
+
+    /// The round function f(R, K) on a 48-bit subkey.
+    fn feistel_f(r: u32, subkey: u64) -> u32 {
+        let expanded = permute(r as u64, 32, &E); // 48 bits
+        let x = expanded ^ subkey;
+        let mut out = 0u32;
+        for (i, sbox) in SBOX.iter().enumerate() {
+            let chunk = ((x >> (42 - 6 * i)) & 0x3f) as u8;
+            let row = ((chunk & 0x20) >> 4) | (chunk & 0x01);
+            let col = (chunk >> 1) & 0x0f;
+            out = (out << 4) | sbox[(row * 16 + col) as usize] as u32;
+        }
+        permute(out as u64, 32, &P) as u32
+    }
+
+    /// The 16 round subkeys, 48 bits each.
+    pub fn subkeys(key: u64) -> [u64; 16] {
+        let permuted = permute(key, 64, &PC1); // 56 bits
+        let mut c = ((permuted >> 28) & 0x0fff_ffff) as u32;
+        let mut d = (permuted & 0x0fff_ffff) as u32;
+        let mut subkeys = [0u64; 16];
+        for round in 0..16 {
+            let shift = SHIFTS[round] as u32;
+            c = ((c << shift) | (c >> (28 - shift))) & 0x0fff_ffff;
+            d = ((d << shift) | (d >> (28 - shift))) & 0x0fff_ffff;
+            let cd = ((c as u64) << 28) | d as u64;
+            subkeys[round] = permute(cd, 56, &PC2);
+        }
+        subkeys
+    }
+
+    pub fn crypt(subkeys: &[u64; 16], block: u64, decrypt: bool) -> u64 {
+        let permuted = permute(block, 64, &IP);
+        let mut l = (permuted >> 32) as u32;
+        let mut r = permuted as u32;
+        for round in 0..16 {
+            let subkey = if decrypt {
+                subkeys[15 - round]
+            } else {
+                subkeys[round]
+            };
+            let new_r = l ^ feistel_f(r, subkey);
+            l = r;
+            r = new_r;
+        }
+        let preoutput = ((r as u64) << 32) | l as u64;
+        permute(preoutput, 64, &FP)
     }
 }
 
@@ -346,6 +459,21 @@ mod tests {
         let flipped = des.encrypt_block(0x0123456789ABCDEF ^ 1);
         let diff = (base ^ flipped).count_ones();
         assert!((20..=44).contains(&diff), "poor avalanche: {diff} bits");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+        #[test]
+        fn prop_matches_bit_serial_reference(key in any::<u64>(), block in any::<u64>()) {
+            let des = Des::new(key);
+            let subkeys = reference::subkeys(key);
+            for (got, want) in des.subkeys.iter().zip(&subkeys) {
+                let groups: [u8; 8] = std::array::from_fn(|i| (want >> (42 - 6 * i)) as u8 & 0x3f);
+                prop_assert_eq!(*got, groups);
+            }
+            prop_assert_eq!(des.encrypt_block(block), reference::crypt(&subkeys, block, false));
+            prop_assert_eq!(des.decrypt_block(block), reference::crypt(&subkeys, block, true));
+        }
     }
 
     proptest! {

@@ -152,9 +152,12 @@ fn filedisk_free_list_reuse_under_contention() {
                             "stamp torn on block {}",
                             id.0
                         );
+                        // Release the claim before the block can be
+                        // handed out again: once freed, another thread
+                        // may allocate it and claim it.
+                        held.lock().unwrap().remove(&id.0);
                         disk.free(id).unwrap();
                     }
-                    held.lock().unwrap().remove(&id.0);
                 }
             })
         })
